@@ -169,72 +169,10 @@ const (
 // has something to migrate.
 func liveSpec(det *guard.Detector, extract func(*chat.Trace) (trace.Session, error),
 	store *sessionstore.Store[servedState], workers, queue int) cluster.InstanceSpec {
-	judgeSeg := func(id string, tr *chat.Trace, prior *servedState) (any, error) {
-		sess, err := extract(tr)
-		if err != nil {
-			return nil, err
-		}
-		st := servedState{ID: id, Total: liveSegments}
-		var sd *guard.StreamDetector
-		if prior != nil {
-			st = *prior
-			sd, err = det.ResumeStreamDetector(prior.Stream)
-		} else {
-			sd, err = det.NewStreamDetector(guard.DefaultStreamConfig())
-		}
-		if err != nil {
-			return nil, err
-		}
-		for i := range sess.T {
-			sd.Push(guard.StreamSample{Transmitted: sess.T[i], Received: sess.R[i]})
-		}
-		st.Done++
-		if st.Done < st.Total {
-			st.Stream = sd.Export()
-			if err := store.Put(id, admission.Standard, st); err != nil {
-				return nil, fmt.Errorf("park: %w", err)
-			}
-			return servedProgress{Done: st.Done, Total: st.Total}, nil
-		}
-		sd.Finish()
-		rep := guard.StreamReport{Results: sd.Results()}
-		rep.Conclusive, rep.Inconclusive = sd.Windows()
-		for _, r := range rep.Results {
-			if !r.Inconclusive && r.Verdict.Attacker {
-				rep.AttackerVotes++
-			}
-		}
-		if rep.Conclusive > 0 {
-			if rep.Flagged, err = sd.Flagged(); err != nil {
-				return nil, err
-			}
-		}
-		return rep, nil
-	}
-	return cluster.InstanceSpec{
-		Scheduler: chat.SchedulerConfig{
-			Workers:        workers,
-			SessionTimeout: 60 * time.Second,
-			Admission:      &chat.AdmissionConfig{QueueCapacity: queue},
-			Judge: func(id string, tr *chat.Trace) (any, error) {
-				return judgeSeg(id, tr, nil)
-			},
-			JudgeResumed: func(id string, tr *chat.Trace, resumed any) (any, error) {
-				st, ok := resumed.(servedState)
-				if !ok {
-					return nil, fmt.Errorf("resumed state is %T, want servedState", resumed)
-				}
-				return judgeSeg(id, tr, &st)
-			},
-			Salvage: func(id string, partial *chat.Trace, resumed any) (any, error) {
-				if st, ok := resumed.(servedState); ok {
-					return st, nil
-				}
-				return nil, nil
-			},
-		},
-		States: sessionstore.Bind(store),
-	}
+	cfg := segmentScheduler(det, extract, store, liveSegments)
+	cfg.Workers = workers
+	cfg.Admission = &chat.AdmissionConfig{QueueCapacity: queue}
+	return cluster.InstanceSpec{Scheduler: cfg, States: sessionstore.Bind(store)}
 }
 
 // liveParams carries the runCluster flag values the live path needs.

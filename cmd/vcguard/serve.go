@@ -33,8 +33,8 @@ func runServe(args []string) error {
 	rate := fs.Float64("rate", 0, "admission rate limit in sessions/sec (0 = unlimited)")
 	drainBudget := fs.Duration("drain-budget", 10*time.Second, "how long a graceful drain may take")
 	checkpoint := fs.String("checkpoint", "", "path for the drain checkpoint; existing sessions there are re-verified first")
-	judgeMode := fs.String("judge", "stream", "verdict engine: stream (incremental per-hop verdicts over the live session) or batch (one verdict per 15 s window, majority-voted)")
-	sessionSec := fs.Float64("session-sec", 30, "simulated call length in seconds; the stream judge needs warmup plus one full window (18 s at defaults) before its first verdict")
+	judgeMode := fs.String("judge", "stream", "verdict cadence: stream (a verdict every 0.5 s hop over the trailing 15 s window) or batch (tumbling 15 s windows, one verdict each); both are majority-voted")
+	sessionSec := fs.Float64("session-sec", 30, "simulated call length in seconds; the judge needs warmup plus one full window (18 s at defaults) before its first verdict")
 	stateDir := fs.String("state-dir", "", "directory for crash-safe session state; calls run as resumable segments, parked state is checkpointed there, and a restart rehydrates it (stream judge only)")
 	segmentSec := fs.Float64("segment-sec", 5, "segment length for -state-dir mode; the detector state parks between segments")
 	checkpointEvery := fs.Duration("checkpoint-every", time.Second, "how often -state-dir mode persists the session store")
@@ -53,9 +53,15 @@ func runServe(args []string) error {
 	if *sessionSec < 1 {
 		return fmt.Errorf("-session-sec must be >= 1")
 	}
+	// -judge picks the hop: batch hops a whole window, so the windows
+	// tumble instead of slide.
+	cfg := guard.DefaultStreamConfig()
+	if *judgeMode == "batch" {
+		cfg.HopSamples = cfg.WindowSamples
+	}
 	if *stateDir != "" {
 		if *judgeMode != "stream" {
-			return fmt.Errorf("-state-dir needs -judge stream: segment resume is stream-detector state")
+			return fmt.Errorf("-state-dir needs -judge stream: segmented calls run the default sliding hop")
 		}
 		if *segmentSec < 1 || *segmentSec > *sessionSec {
 			return fmt.Errorf("-segment-sec %v outside [1, session length %v]", *segmentSec, *sessionSec)
@@ -127,26 +133,7 @@ func runServe(args []string) error {
 		if err != nil {
 			return nil, err
 		}
-		if *judgeMode == "stream" {
-			return det.DetectTraceStream(sess, guard.DefaultStreamConfig())
-		}
-		// Batch mode judges the paper's 15 s windows: the enrollment
-		// features are per-window, so a longer session is tiled and
-		// majority-voted rather than scored as one oversized window
-		// (which would distort every feature's scale).
-		win := int(15 * sess.Fs)
-		if win < 1 || len(sess.T) <= win {
-			return det.DetectTrace(sess)
-		}
-		var verdicts []guard.Verdict
-		for start := 0; start+win <= len(sess.T); start += win {
-			v, err := det.Detect(sess.T[start:start+win], sess.R[start:start+win])
-			if err != nil {
-				return nil, err
-			}
-			verdicts = append(verdicts, v)
-		}
-		return verdicts, nil
+		return det.DetectTraceStream(sess, cfg)
 	}
 
 	s, err := chat.NewScheduler(chat.SchedulerConfig{
@@ -239,21 +226,9 @@ func runServe(args []string) error {
 			continue
 		}
 		completed++
-		switch v := res.Verdict.(type) {
-		case guard.Verdict:
-			fmt.Printf("  %s: score %6.2f attacker=%v\n", p.id, v.Score, v.Attacker)
-		case guard.StreamReport:
+		if v, ok := res.Verdict.(guard.StreamReport); ok {
 			fmt.Printf("  %s: %d hops (%d conclusive, %d attacker votes) flagged=%v\n",
 				p.id, len(v.Results), v.Conclusive, v.AttackerVotes, v.Flagged)
-		case []guard.Verdict:
-			attacker := 0
-			for _, w := range v {
-				if w.Attacker {
-					attacker++
-				}
-			}
-			fmt.Printf("  %s: %d windows (%d attacker votes) flagged=%v\n",
-				p.id, len(v), attacker, attacker*2 > len(v))
 		}
 	}
 	fmt.Printf("\nsubmitted %d, completed %d, failed/drained %d, shed %d, unfinished %d\n",

@@ -81,76 +81,11 @@ func runServeState(det *guard.Detector, extract func(*chat.Trace) (trace.Session
 	}
 	fmt.Printf("state: recovered %d sessions, %d corrupt records, from %s\n", recovered, len(faults), statePath)
 
-	// judgeSeg advances one call by one segment: resume (or create) the
-	// stream detector, push the segment's samples, and either finish with
-	// a StreamReport or park the updated state for the next segment.
-	judgeSeg := func(id string, tr *chat.Trace, prior *servedState) (any, error) {
-		sess, err := extract(tr)
-		if err != nil {
-			return nil, err
-		}
-		st := servedState{ID: id, Total: totalSegs}
-		var sd *guard.StreamDetector
-		if prior != nil {
-			st = *prior
-			sd, err = det.ResumeStreamDetector(prior.Stream)
-		} else {
-			sd, err = det.NewStreamDetector(guard.DefaultStreamConfig())
-		}
-		if err != nil {
-			return nil, err
-		}
-		for i := range sess.T {
-			sd.Push(guard.StreamSample{Transmitted: sess.T[i], Received: sess.R[i]})
-		}
-		st.Done++
-		if st.Done < st.Total {
-			st.Stream = sd.Export()
-			if err := store.Put(id, admission.Standard, st); err != nil {
-				return nil, fmt.Errorf("park: %w", err)
-			}
-			return servedProgress{Done: st.Done, Total: st.Total}, nil
-		}
-		sd.Finish()
-		rep := guard.StreamReport{Results: sd.Results()}
-		rep.Conclusive, rep.Inconclusive = sd.Windows()
-		for _, r := range rep.Results {
-			if !r.Inconclusive && r.Verdict.Attacker {
-				rep.AttackerVotes++
-			}
-		}
-		if rep.Conclusive > 0 {
-			if rep.Flagged, err = sd.Flagged(); err != nil {
-				return nil, err
-			}
-		}
-		return rep, nil
-	}
-
-	s, err := chat.NewScheduler(chat.SchedulerConfig{
-		Workers:        p.workers,
-		SessionTimeout: 60 * time.Second,
-		Admission:      &chat.AdmissionConfig{QueueCapacity: p.queue, RatePerSec: p.rate},
-		States:         sessionstore.Bind(store),
-		Judge: func(id string, tr *chat.Trace) (any, error) {
-			return judgeSeg(id, tr, nil)
-		},
-		JudgeResumed: func(id string, tr *chat.Trace, resumed any) (any, error) {
-			st, ok := resumed.(servedState)
-			if !ok {
-				return nil, fmt.Errorf("resumed state is %T, want servedState", resumed)
-			}
-			return judgeSeg(id, tr, &st)
-		},
-		// A segment cancelled mid-run keeps the progress it rehydrated; a
-		// first segment has nothing resumable to keep.
-		Salvage: func(id string, partial *chat.Trace, resumed any) (any, error) {
-			if st, ok := resumed.(servedState); ok {
-				return st, nil
-			}
-			return nil, nil
-		},
-	})
+	cfg := segmentScheduler(det, extract, store, totalSegs)
+	cfg.Workers = p.workers
+	cfg.Admission = &chat.AdmissionConfig{QueueCapacity: p.queue, RatePerSec: p.rate}
+	cfg.States = sessionstore.Bind(store)
+	s, err := chat.NewScheduler(cfg)
 	if err != nil {
 		return err
 	}
@@ -282,4 +217,64 @@ func runServeState(det *guard.Detector, extract func(*chat.Trace) (trace.Session
 	fmt.Printf("\ncompleted %d, failed/drained %d, shed submits %d, unfinished %d, parked %d (saved to %s)\n",
 		completed, failed, shed, len(unfinished), hot+warm, statePath)
 	return nil
+}
+
+// segmentScheduler returns the judge hooks of a segmented call: each
+// judged segment resumes (or creates) the call's stream detector, pushes
+// the segment's samples, and either parks the updated state in store for
+// the next segment or, after the last of total segments, finishes with a
+// StreamReport. The caller fills in workers, admission and state binding.
+func segmentScheduler(det *guard.Detector, extract func(*chat.Trace) (trace.Session, error),
+	store *sessionstore.Store[servedState], total int) chat.SchedulerConfig {
+	judgeSeg := func(id string, tr *chat.Trace, prior *servedState) (any, error) {
+		sess, err := extract(tr)
+		if err != nil {
+			return nil, err
+		}
+		st := servedState{ID: id, Total: total}
+		var sd *guard.StreamDetector
+		if prior != nil {
+			st = *prior
+			sd, err = det.ResumeStreamDetector(prior.Stream)
+		} else {
+			sd, err = det.NewStreamDetector(guard.DefaultStreamConfig())
+		}
+		if err != nil {
+			return nil, err
+		}
+		for i := range sess.T {
+			sd.Push(guard.StreamSample{Transmitted: sess.T[i], Received: sess.R[i]})
+		}
+		st.Done++
+		if st.Done < st.Total {
+			st.Stream = sd.Export()
+			if err := store.Put(id, admission.Standard, st); err != nil {
+				return nil, fmt.Errorf("park: %w", err)
+			}
+			return servedProgress{Done: st.Done, Total: st.Total}, nil
+		}
+		sd.Finish()
+		return sd.Report()
+	}
+	return chat.SchedulerConfig{
+		SessionTimeout: 60 * time.Second,
+		Judge: func(id string, tr *chat.Trace) (any, error) {
+			return judgeSeg(id, tr, nil)
+		},
+		JudgeResumed: func(id string, tr *chat.Trace, resumed any) (any, error) {
+			st, ok := resumed.(servedState)
+			if !ok {
+				return nil, fmt.Errorf("resumed state is %T, want servedState", resumed)
+			}
+			return judgeSeg(id, tr, &st)
+		},
+		// A segment cancelled mid-run keeps the progress it rehydrated; a
+		// first segment has nothing resumable to keep.
+		Salvage: func(id string, partial *chat.Trace, resumed any) (any, error) {
+			if st, ok := resumed.(servedState); ok {
+				return st, nil
+			}
+			return nil, nil
+		},
+	}
 }

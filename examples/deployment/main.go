@@ -1,10 +1,10 @@
 // Deployment: the full production lifecycle of the detector — enroll from
 // trusted sessions (with the enrollment-quality gate), persist the trained
-// model, reload it in a fresh process, run continuous verification
-// through the streaming Monitor with majority voting and inconclusive-
-// window handling, and finally stand up the observability endpoint and
-// scrape one snapshot the way a collector would (see OBSERVABILITY.md
-// for the metric catalog this walks through).
+// model, reload it in a fresh process, run continuous verification in
+// tumbling 15 s windows on the StreamDetector with majority voting and
+// inconclusive-window handling, and finally stand up the observability
+// endpoint and scrape one snapshot the way a collector would (see
+// OBSERVABILITY.md for the metric catalog this walks through).
 //
 //	go run ./examples/deployment
 package main
@@ -58,12 +58,16 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	monitor, err := loaded.NewMonitor(guard.DefaultMonitorConfig())
+	// Tumbling windows: the hop is the whole 15 s window, so each
+	// disjoint window gets one verdict.
+	cfg := guard.DefaultStreamConfig()
+	cfg.HopSamples = cfg.WindowSamples
+	stream, err := loaded.NewStreamDetector(cfg)
 	if err != nil {
 		return err
 	}
 
-	// Stream three windows of an attacker's session through the monitor.
+	// Stream three windows of an attacker's session through the detector.
 	fmt.Println("\nverifying an incoming call (reenactment attacker)...")
 	for w := int64(0); w < 3; w++ {
 		session, err := guard.Simulate(guard.SimOptions{Seed: 400 + w, Peer: guard.PeerReenact})
@@ -71,29 +75,25 @@ func run() error {
 			return err
 		}
 		for i := range session.T {
-			result, err := monitor.Push(session.T[i], session.R[i])
-			if err != nil {
-				return err
-			}
-			if result == nil {
-				continue
-			}
-			if result.Inconclusive {
-				fmt.Printf("  window: inconclusive (%s)\n", result.Reason)
-				continue
-			}
-			fmt.Printf("  window: score %6.2f  challenges %d  attacker=%v\n",
-				result.Verdict.Score, result.Challenges, result.Verdict.Attacker)
+			stream.Push(guard.StreamSample{Transmitted: session.T[i], Received: session.R[i]})
 		}
 	}
-	conclusive, inconclusive := monitor.Windows()
-	flagged, err := monitor.Flagged()
+	stream.Finish() // call end: drain the filter latency so the last window is judged
+	report, err := stream.Report()
 	if err != nil {
 		return err
 	}
-	fmt.Printf("\n%d conclusive / %d inconclusive windows; running vote: attacker=%v\n",
-		conclusive, inconclusive, flagged)
-	if !flagged {
+	for _, result := range report.Results {
+		if result.Inconclusive {
+			fmt.Printf("  window: inconclusive (%s)\n", result.Reason)
+			continue
+		}
+		fmt.Printf("  window: score %6.2f  challenges %d  attacker=%v\n",
+			result.Verdict.Score, result.Challenges, result.Verdict.Attacker)
+	}
+	fmt.Printf("\n%d conclusive / %d inconclusive windows; majority vote: attacker=%v\n",
+		report.Conclusive, report.Inconclusive, report.Flagged)
+	if !report.Flagged {
 		return fmt.Errorf("expected the attacker stream to be flagged")
 	}
 	fmt.Println("call would be terminated and the user alerted")

@@ -140,7 +140,11 @@ func TestGoldenTraces(t *testing.T) {
 
 	// The batch engine must reproduce the sequential goldens bit for bit,
 	// not merely within tolerance.
-	batch, err := guard.DetectTraceBatch(det, probes)
+	windows := make([]guard.Session, len(probes))
+	for i, s := range probes {
+		windows[i] = guard.Session{Transmitted: s.T, Received: s.R}
+	}
+	batch, err := guard.DetectBatch(det, windows)
 	if err != nil {
 		t.Fatalf("batch over fixtures: %v", err)
 	}

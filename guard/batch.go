@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-
-	"repro/trace"
 )
 
 // BatchVerdict is the outcome of one window of a batch detection: the
@@ -57,14 +55,6 @@ func (b *BatchDetector) Detect(windows []Session) []BatchVerdict {
 	})
 }
 
-// DetectTraces classifies recorded trace sessions concurrently, in input
-// order, applying the same sampling-rate check as Detector.DetectTrace.
-func (b *BatchDetector) DetectTraces(sessions []trace.Session) []BatchVerdict {
-	return b.run(len(sessions), func(i int) (Verdict, error) {
-		return b.det.DetectTrace(sessions[i])
-	})
-}
-
 // DetectContext is Detect under overload protection: ctx cancellation
 // abandons windows not yet started (their Err is ctx.Err()), and the
 // guardrails budget and circuit-break each window's detection stage.
@@ -72,13 +62,6 @@ func (b *BatchDetector) DetectTraces(sessions []trace.Session) []BatchVerdict {
 func (b *BatchDetector) DetectContext(ctx context.Context, windows []Session, g Guardrails) []BatchVerdict {
 	return b.runContext(ctx, g, len(windows), func(i int) (Verdict, error) {
 		return b.det.Detect(windows[i].Transmitted, windows[i].Received)
-	})
-}
-
-// DetectTracesContext is DetectTraces under the same overload protection.
-func (b *BatchDetector) DetectTracesContext(ctx context.Context, sessions []trace.Session, g Guardrails) []BatchVerdict {
-	return b.runContext(ctx, g, len(sessions), func(i int) (Verdict, error) {
-		return b.det.DetectTrace(sessions[i])
 	})
 }
 
@@ -144,23 +127,6 @@ func DetectBatch(d *Detector, windows []Session) ([]Verdict, error) {
 	for i, r := range results {
 		if r.Err != nil {
 			return nil, fmt.Errorf("guard: batch window %d: %w", i, r.Err)
-		}
-		verdicts[i] = r.Verdict
-	}
-	return verdicts, nil
-}
-
-// DetectTraceBatch is DetectBatch over recorded trace sessions.
-func DetectTraceBatch(d *Detector, sessions []trace.Session) ([]Verdict, error) {
-	b, err := d.Batch(0)
-	if err != nil {
-		return nil, err
-	}
-	results := b.DetectTraces(sessions)
-	verdicts := make([]Verdict, len(results))
-	for i, r := range results {
-		if r.Err != nil {
-			return nil, fmt.Errorf("guard: batch session %d: %w", i, r.Err)
 		}
 		verdicts[i] = r.Verdict
 	}

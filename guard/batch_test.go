@@ -3,27 +3,21 @@ package guard
 import (
 	"strings"
 	"testing"
-
-	"repro/trace"
 )
 
-// batchProbes returns a mixed bag of recorded sessions (genuine and
-// attackers) plus the same windows as raw signal pairs.
-func batchProbes(t *testing.T) ([]trace.Session, []Session) {
+// batchProbes returns a mixed bag of recorded windows (genuine and
+// attackers) as raw signal pairs.
+func batchProbes(t *testing.T) []Session {
 	t.Helper()
-	var traces []trace.Session
+	var windows []Session
 	for i, kind := range []PeerKind{PeerGenuine, PeerReenact, PeerGenuine, PeerReplay, PeerReenact, PeerGenuine} {
 		s, err := Simulate(SimOptions{Seed: int64(500 + i), Peer: kind})
 		if err != nil {
 			t.Fatal(err)
 		}
-		traces = append(traces, s)
+		windows = append(windows, Session{Transmitted: s.T, Received: s.R})
 	}
-	windows := make([]Session, len(traces))
-	for i, s := range traces {
-		windows[i] = Session{Transmitted: s.T, Received: s.R}
-	}
-	return traces, windows
+	return windows
 }
 
 // TestBatchMatchesSequential is the core batch-engine contract: for every
@@ -31,7 +25,7 @@ func batchProbes(t *testing.T) ([]trace.Session, []Session) {
 // Detect loop, in input order.
 func TestBatchMatchesSequential(t *testing.T) {
 	det := trainDetector(t)
-	traces, windows := batchProbes(t)
+	windows := batchProbes(t)
 
 	want := make([]Verdict, len(windows))
 	for i, w := range windows {
@@ -61,20 +55,12 @@ func TestBatchMatchesSequential(t *testing.T) {
 				t.Fatalf("workers=%d window %d: batch %+v != sequential %+v", workers, i, r.Verdict, want[i])
 			}
 		}
-		for i, r := range bd.DetectTraces(traces) {
-			if r.Err != nil {
-				t.Fatalf("workers=%d trace %d: %v", workers, i, r.Err)
-			}
-			if r.Verdict != want[i] {
-				t.Fatalf("workers=%d trace %d: batch %+v != sequential %+v", workers, i, r.Verdict, want[i])
-			}
-		}
 	}
 }
 
 func TestDetectBatchConvenience(t *testing.T) {
 	det := trainDetector(t)
-	traces, windows := batchProbes(t)
+	windows := batchProbes(t)
 	seq := make([]Verdict, len(windows))
 	for i, w := range windows {
 		v, err := det.Detect(w.Transmitted, w.Received)
@@ -92,20 +78,11 @@ func TestDetectBatchConvenience(t *testing.T) {
 			t.Fatalf("window %d: %+v != %+v", i, got[i], seq[i])
 		}
 	}
-	gotTr, err := DetectTraceBatch(det, traces)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range seq {
-		if gotTr[i] != seq[i] {
-			t.Fatalf("trace %d: %+v != %+v", i, gotTr[i], seq[i])
-		}
-	}
 }
 
 func TestBatchPartialFailure(t *testing.T) {
 	det := trainDetector(t)
-	_, windows := batchProbes(t)
+	windows := batchProbes(t)
 	bad := windows[1]
 	bad.Received = bad.Received[:len(bad.Received)-10] // mismatched lengths
 	mixed := []Session{windows[0], bad, windows[2]}

@@ -59,57 +59,15 @@ func TestTrainRejectsNonFinite(t *testing.T) {
 	}
 }
 
-// --- Monitor inconclusive paths, pinning Reason codes and strings ---
-
-// pushSession streams a simulated session into the monitor.
-func pushSession(t *testing.T, m *Monitor, seed int64, mutate func(i int, s *StreamSample)) *WindowResult {
-	t.Helper()
-	sess, err := Simulate(SimOptions{Seed: seed, Peer: PeerGenuine})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var last *WindowResult
-	for i := range sess.T {
-		s := StreamSample{Transmitted: sess.T[i], Received: sess.R[i]}
-		if mutate != nil {
-			mutate(i, &s)
-		}
-		res, err := m.PushSample(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res != nil {
-			last = res
-		}
-	}
-	return last
-}
-
-func newTestMonitor(t *testing.T, det *Detector, cfg MonitorConfig) *Monitor {
-	t.Helper()
-	m, err := det.NewMonitor(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m
-}
+// --- Tumbling-window inconclusive paths, pinning Reason codes and strings ---
 
 func TestMonitorInconclusiveNoChallenge(t *testing.T) {
 	det := trainDetector(t)
-	m := newTestMonitor(t, det, MonitorConfig{WindowSamples: 150, MinChallenges: 1})
-	var last *WindowResult
-	for i := 0; i < 150; i++ {
-		res, err := m.Push(100, 90)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res != nil {
-			last = res
-		}
+	_, results := runCall(t, det, tumblingConfig(0, 1), flatCall(150))
+	if len(results) != 1 || !results[0].Inconclusive {
+		t.Fatalf("flat window conclusive: %+v", results)
 	}
-	if last == nil || !last.Inconclusive {
-		t.Fatalf("flat window conclusive: %+v", last)
-	}
+	last := results[0]
 	if last.Code != ReasonNoChallenge {
 		t.Errorf("code = %v, want ReasonNoChallenge", last.Code)
 	}
@@ -123,162 +81,131 @@ func TestMonitorInconclusiveNoChallenge(t *testing.T) {
 
 func TestMonitorInconclusiveGapHeavy(t *testing.T) {
 	det := trainDetector(t)
-	m := newTestMonitor(t, det, MonitorConfig{WindowSamples: 150, MaxGapRatio: 0.2})
-	// Stall a third of the window: every third tick delivers nothing.
-	last := pushSession(t, m, 51, func(i int, s *StreamSample) {
+	// Stall a third of the call: every third tick delivers nothing.
+	_, results := runCall(t, det, tumblingConfig(0, 1), callStream(t, 51, PeerGenuine, 30, func(i int, s *StreamSample) {
 		if i%3 == 0 {
 			s.Transmitted = math.NaN()
 			s.Received = math.NaN()
 		}
-	})
-	if last == nil || !last.Inconclusive {
-		t.Fatalf("gap-heavy window conclusive: %+v", last)
+	}))
+	if len(results) != 2 {
+		t.Fatalf("%d windows, want 2", len(results))
 	}
-	if last.Code != ReasonGapRatio {
-		t.Errorf("code = %v, want ReasonGapRatio", last.Code)
-	}
-	if !strings.HasPrefix(last.Reason, "gap ratio") {
-		t.Errorf("reason %q does not start with pinned label %q", last.Reason, "gap ratio")
-	}
-	if last.Quality >= 0.8 {
-		t.Errorf("quality = %v for a window with ~33%% gaps", last.Quality)
-	}
-	if last.Gaps == 0 {
-		t.Error("gap count not reported")
+	for _, last := range results {
+		if !last.Inconclusive {
+			t.Fatalf("gap-heavy window conclusive: %+v", last)
+		}
+		if last.Code != ReasonGapRatio {
+			t.Errorf("code = %v, want ReasonGapRatio", last.Code)
+		}
+		if !strings.HasPrefix(last.Reason, "gap ratio") {
+			t.Errorf("reason %q does not start with pinned label %q", last.Reason, "gap ratio")
+		}
+		if last.Quality >= 0.8 {
+			t.Errorf("quality = %v for a window with ~33%% gaps", last.Quality)
+		}
+		if last.Gaps == 0 {
+			t.Error("gap count not reported")
+		}
 	}
 }
 
 func TestMonitorInconclusiveLandmarkLoss(t *testing.T) {
 	det := trainDetector(t)
-	m := newTestMonitor(t, det, MonitorConfig{WindowSamples: 150, MaxGapRatio: 0.2})
-	last := pushSession(t, m, 52, func(i int, s *StreamSample) {
-		if i >= 30 && i < 90 { // a 6-second landmark outage
+	_, results := runCall(t, det, tumblingConfig(0, 1), callStream(t, 52, PeerGenuine, 30, func(i int, s *StreamSample) {
+		if i >= 30 && i < 90 { // a 6-second landmark outage in the first window
 			s.LandmarkLost = true
 		}
-	})
-	if last == nil || !last.Inconclusive {
-		t.Fatalf("landmark-outage window conclusive: %+v", last)
+	}))
+	if len(results) == 0 || !results[0].Inconclusive {
+		t.Fatalf("landmark-outage window conclusive: %+v", results)
 	}
-	if last.Code != ReasonLandmarkLoss {
-		t.Errorf("code = %v, want ReasonLandmarkLoss", last.Code)
+	first := results[0]
+	if first.Code != ReasonLandmarkLoss {
+		t.Errorf("code = %v, want ReasonLandmarkLoss", first.Code)
 	}
-	if !strings.HasPrefix(last.Reason, "landmark loss") {
-		t.Errorf("reason %q does not start with pinned label %q", last.Reason, "landmark loss")
+	if !strings.HasPrefix(first.Reason, "landmark loss") {
+		t.Errorf("reason %q does not start with pinned label %q", first.Reason, "landmark loss")
 	}
 }
 
 func TestMonitorInconclusiveStale(t *testing.T) {
 	det := trainDetector(t)
-	m := newTestMonitor(t, det, MonitorConfig{WindowSamples: 150, MaxStaleRatio: 0.5})
-	last := pushSession(t, m, 53, func(i int, s *StreamSample) {
-		if i%2 == 1 { // frozen stream: every other frame is a repeat
-			s.Stale = true
-		}
+	// A frozen stream: every other frame is a repeat, 75 of each window's
+	// 150 ticks.
+	samples := callStream(t, 53, PeerGenuine, 30, func(i int, s *StreamSample) {
+		s.Stale = i%2 == 1
 	})
-	// 75/150 = exactly the bound; push one more stale-heavy config.
-	if last != nil && last.Inconclusive && last.Code == ReasonStale {
-		t.Fatalf("stale ratio at the bound should still judge, got %+v", last)
-	}
-	m2 := newTestMonitor(t, det, MonitorConfig{WindowSamples: 150, MaxStaleRatio: 0.3})
-	last = pushSession(t, m2, 53, func(i int, s *StreamSample) {
-		if i%2 == 1 {
-			s.Stale = true
-		}
-	})
-	if last == nil || !last.Inconclusive {
-		t.Fatalf("stale-heavy window conclusive: %+v", last)
-	}
-	if last.Code != ReasonStale {
-		t.Errorf("code = %v, want ReasonStale", last.Code)
-	}
-	if !strings.HasPrefix(last.Reason, "stale samples") {
-		t.Errorf("reason %q does not start with pinned label %q", last.Reason, "stale samples")
-	}
-}
-
-func TestMonitorFlushShortWindow(t *testing.T) {
-	det := trainDetector(t)
-	m := newTestMonitor(t, det, MonitorConfig{WindowSamples: 150})
-	for i := 0; i < 40; i++ { // less than half a window
-		if _, err := m.Push(100, 90); err != nil {
-			t.Fatal(err)
+	// Exactly at the 0.5 bound the windows are still judged.
+	_, results := runCall(t, det, tumblingConfig(0, 1), samples)
+	for _, r := range results {
+		if r.Inconclusive && r.Code == ReasonStale {
+			t.Fatalf("stale ratio at the bound should still judge, got %+v", r)
 		}
 	}
-	res := m.Flush()
-	if res == nil || !res.Inconclusive {
-		t.Fatalf("short flush conclusive: %+v", res)
+	cfg := tumblingConfig(0, 1)
+	cfg.MaxStaleRatio = 0.3
+	_, results = runCall(t, det, cfg, samples)
+	if len(results) != 2 {
+		t.Fatalf("%d windows, want 2", len(results))
 	}
-	if res.Code != ReasonShortWindow {
-		t.Errorf("code = %v, want ReasonShortWindow", res.Code)
-	}
-	if !strings.HasPrefix(res.Reason, "short window") {
-		t.Errorf("reason %q does not start with pinned label %q", res.Reason, "short window")
-	}
-	if m.Flush() != nil {
-		t.Error("second flush on empty buffer returned a result")
-	}
-	_, inconclusive := m.Windows()
-	if inconclusive != 1 {
-		t.Errorf("inconclusive count = %d, want 1", inconclusive)
-	}
-}
-
-func TestMonitorFlushJudgesViablePartial(t *testing.T) {
-	det := trainDetector(t)
-	m := newTestMonitor(t, det, MonitorConfig{WindowSamples: 150, MinChallenges: 1})
-	sess, err := Simulate(SimOptions{Seed: 54, Peer: PeerGenuine})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 100; i++ { // two thirds of a window: viable
-		if _, err := m.Push(sess.T[i], sess.R[i]); err != nil {
-			t.Fatal(err)
+	for _, last := range results {
+		if !last.Inconclusive {
+			t.Fatalf("stale-heavy window conclusive: %+v", last)
 		}
-	}
-	res := m.Flush()
-	if res == nil {
-		t.Fatal("viable partial window not judged")
-	}
-	if res.Code == ReasonShortWindow {
-		t.Errorf("100/150 samples flushed as short window: %+v", res)
+		if last.Code != ReasonStale {
+			t.Errorf("code = %v, want ReasonStale", last.Code)
+		}
+		if !strings.HasPrefix(last.Reason, "stale samples") {
+			t.Errorf("reason %q does not start with pinned label %q", last.Reason, "stale samples")
+		}
 	}
 }
 
 func TestMonitorGapsDoNotPoisonNextWindow(t *testing.T) {
 	det := trainDetector(t)
-	m := newTestMonitor(t, det, MonitorConfig{WindowSamples: 150, MaxGapRatio: 0.2})
 	// First window: gap-heavy. Second window: clean genuine stream.
-	first := pushSession(t, m, 55, func(i int, s *StreamSample) {
-		s.LandmarkLost = i%2 == 0
-	})
-	if first == nil || first.Code != ReasonLandmarkLoss {
+	_, results := runCall(t, det, tumblingConfig(0, 1), callStream(t, 55, PeerGenuine, 30, func(i int, s *StreamSample) {
+		s.LandmarkLost = i < 150 && i%2 == 0
+	}))
+	if len(results) != 2 {
+		t.Fatalf("%d windows, want 2", len(results))
+	}
+	if first := results[0]; first.Code != ReasonLandmarkLoss {
 		t.Fatalf("first window = %+v, want landmark loss", first)
 	}
-	second := pushSession(t, m, 56, nil)
-	if second == nil {
-		t.Fatal("second window did not complete")
-	}
+	second := results[1]
 	if second.Inconclusive {
 		t.Fatalf("clean window after degraded one judged inconclusive: %s", second.Reason)
 	}
 	if second.Quality != 1 {
-		t.Errorf("clean window quality = %v, want 1 (per-window counters must reset)", second.Quality)
+		t.Errorf("clean window quality = %v, want 1 (per-window counts must not carry over)", second.Quality)
 	}
 }
 
 func TestReasonCodeStrings(t *testing.T) {
-	want := map[ReasonCode]string{
-		ReasonNone:         "none",
-		ReasonExtraction:   "extraction failed",
-		ReasonNoChallenge:  "no challenge",
-		ReasonGapRatio:     "gap ratio",
-		ReasonLandmarkLoss: "landmark loss",
-		ReasonStale:        "stale samples",
-		ReasonShortWindow:  "short window",
+	// Parked states store Code as an integer, so the numbers are pinned
+	// as well as the labels; reserved codes keep their slots.
+	want := []struct {
+		code  ReasonCode
+		num   int
+		label string
+	}{
+		{ReasonNone, 0, "none"},
+		{ReasonExtraction, 1, "extraction failed"},
+		{ReasonNoChallenge, 2, "no challenge"},
+		{ReasonGapRatio, 3, "gap ratio"},
+		{ReasonLandmarkLoss, 4, "landmark loss"},
+		{ReasonStale, 5, "stale samples"},
+		{ReasonShortWindow, 6, "short window"},
+		{ReasonOverload, 7, "overload"},
 	}
-	for code, label := range want {
-		if code.String() != label {
-			t.Errorf("%d.String() = %q, want %q", int(code), code.String(), label)
+	for _, w := range want {
+		if int(w.code) != w.num {
+			t.Errorf("%s = %d, want %d", w.label, int(w.code), w.num)
+		}
+		if w.code.String() != w.label {
+			t.Errorf("%d.String() = %q, want %q", int(w.code), w.code.String(), w.label)
 		}
 	}
 	if got := ReasonCode(99).String(); got != "ReasonCode(99)" {

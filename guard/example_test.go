@@ -6,7 +6,6 @@ import (
 	"log"
 
 	"repro/guard"
-	"repro/trace"
 )
 
 // Train a detector on genuine sessions and classify a fake stream.
@@ -74,20 +73,20 @@ func ExampleDetector_Batch() {
 		log.Fatal(err)
 	}
 
-	var windows []trace.Session
+	var windows []guard.Session
 	for i, kind := range []guard.PeerKind{guard.PeerGenuine, guard.PeerReenact, guard.PeerGenuine} {
 		s, err := guard.Simulate(guard.SimOptions{Seed: int64(200 + i), Peer: kind})
 		if err != nil {
 			log.Fatal(err)
 		}
-		windows = append(windows, s)
+		windows = append(windows, guard.Session{Transmitted: s.T, Received: s.R})
 	}
 
 	batch, err := detector.Batch(4) // 0 = runtime.GOMAXPROCS(0) workers
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, r := range batch.DetectTraces(windows) {
+	for _, r := range batch.Detect(windows) {
 		if r.Err != nil {
 			log.Fatal(r.Err)
 		}
@@ -99,8 +98,9 @@ func ExampleDetector_Batch() {
 	// window 2 attacker: false
 }
 
-// Stream samples through a Monitor for continuous verification.
-func ExampleMonitor() {
+// Verify a live call in tumbling 15 s windows: a StreamDetector whose hop
+// equals its window judges each disjoint window once.
+func ExampleStreamDetector() {
 	training, err := guard.SimulateMany(guard.SimOptions{Seed: 1, Peer: guard.PeerGenuine}, 20)
 	if err != nil {
 		log.Fatal(err)
@@ -109,27 +109,34 @@ func ExampleMonitor() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	monitor, err := detector.NewMonitor(guard.MonitorConfig{
-		WindowSamples: 150, // 15 s at 10 Hz
-		MinChallenges: 1,
-	})
+	cfg := guard.DefaultStreamConfig()
+	cfg.HopSamples = cfg.WindowSamples // 15 s at 10 Hz
+	stream, err := detector.NewStreamDetector(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	session, err := guard.Simulate(guard.SimOptions{Seed: 7, Peer: guard.PeerGenuine})
+	call, err := guard.Simulate(guard.SimOptions{Seed: 7, Peer: guard.PeerGenuine, DurationSec: 45})
 	if err != nil {
 		log.Fatal(err)
 	}
-	for i := range session.T {
-		result, err := monitor.Push(session.T[i], session.R[i])
-		if err != nil {
-			log.Fatal(err)
-		}
-		if result != nil && !result.Inconclusive {
-			fmt.Println("window attacker:", result.Verdict.Attacker)
+	for i := range call.T {
+		stream.Push(guard.StreamSample{Transmitted: call.T[i], Received: call.R[i]})
+	}
+	stream.Finish() // drain the filter latency at call end
+	report, err := stream.Report()
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, r := range report.Results {
+		if !r.Inconclusive {
+			fmt.Println("window attacker:", r.Verdict.Attacker)
 		}
 	}
-	// Output: window attacker: false
+	fmt.Println("flagged:", report.Flagged)
+	// Output:
+	// window attacker: false
+	// window attacker: false
+	// flagged: false
 }
 
 // Persist a trained detector and reload it elsewhere.

@@ -5,56 +5,79 @@ import (
 	"testing"
 )
 
-func TestMonitorConfigValidate(t *testing.T) {
-	if err := DefaultMonitorConfig().Validate(); err != nil {
-		t.Errorf("default config invalid: %v", err)
+// Tumbling-window monitoring of a live call: StreamDetector with
+// HopSamples == WindowSamples judges each disjoint 15 s window once, and
+// the calls are fed as one continuous simulated session.
+
+// tumblingConfig is the paper's windowing: disjoint 150-sample windows.
+func tumblingConfig(warmup, minChallenges int) StreamConfig {
+	cfg := DefaultStreamConfig()
+	cfg.HopSamples = cfg.WindowSamples
+	cfg.WarmupSamples = warmup
+	cfg.MinChallenges = minChallenges
+	return cfg
+}
+
+// callStream simulates one continuous call of sec seconds as annotated
+// samples, letting mutate degrade tick i.
+func callStream(t *testing.T, seed int64, peer PeerKind, sec float64, mutate func(i int, s *StreamSample)) []StreamSample {
+	t.Helper()
+	s, err := Simulate(SimOptions{Seed: seed, Peer: peer, DurationSec: sec})
+	if err != nil {
+		t.Fatal(err)
 	}
-	bad := []MonitorConfig{
-		{WindowSamples: 10},
-		{WindowSamples: 150, WarmupSamples: -1},
-		{WindowSamples: 150, MinChallenges: -1},
-	}
-	for _, cfg := range bad {
-		if err := cfg.Validate(); err == nil {
-			t.Errorf("config %+v accepted", cfg)
+	out := make([]StreamSample, len(s.T))
+	for i := range s.T {
+		out[i] = StreamSample{Transmitted: s.T[i], Received: s.R[i]}
+		if mutate != nil {
+			mutate(i, &out[i])
 		}
 	}
+	return out
+}
+
+// runCall pushes a whole call through a fresh detector and drains it at
+// call end, returning the detector and every window result in order.
+func runCall(t *testing.T, det *Detector, cfg StreamConfig, samples []StreamSample) (*StreamDetector, []WindowResult) {
+	t.Helper()
+	sd, err := det.NewStreamDetector(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []WindowResult
+	for _, s := range samples {
+		if r := sd.Push(s); r != nil {
+			out = append(out, *r)
+		}
+	}
+	return sd, append(out, sd.Finish()...)
+}
+
+// flatCall is n ticks of a verifier that never changes its screen.
+func flatCall(n int) []StreamSample {
+	out := make([]StreamSample, n)
+	for i := range out {
+		out[i] = StreamSample{Transmitted: 100, Received: 90}
+	}
+	return out
 }
 
 func TestMonitorGenuineStream(t *testing.T) {
 	det := trainDetector(t)
-	mon, err := det.NewMonitor(MonitorConfig{WindowSamples: 150, WarmupSamples: 0, MinChallenges: 1})
-	if err != nil {
-		t.Fatal(err)
+	sd, results := runCall(t, det, tumblingConfig(0, 1), callStream(t, 9001, PeerGenuine, 30, nil))
+	if len(results) != 2 {
+		t.Fatalf("%d windows over a 30 s call, want 2", len(results))
 	}
-	// Stream two genuine windows.
-	for _, seed := range []int64{9001, 9002} {
-		s, err := Simulate(SimOptions{Seed: seed, Peer: PeerGenuine})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var last *WindowResult
-		for i := range s.T {
-			res, err := mon.Push(s.T[i], s.R[i])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res != nil {
-				last = res
-			}
-		}
-		if last == nil {
-			t.Fatal("window did not complete")
-		}
-		if last.Inconclusive {
-			t.Fatalf("genuine window inconclusive: %s", last.Reason)
+	for i, r := range results {
+		if r.Inconclusive {
+			t.Fatalf("genuine window %d inconclusive: %s", i, r.Reason)
 		}
 	}
-	conclusive, inconclusive := mon.Windows()
+	conclusive, inconclusive := sd.Windows()
 	if conclusive != 2 || inconclusive != 0 {
 		t.Errorf("windows = %d/%d, want 2 conclusive", conclusive, inconclusive)
 	}
-	flagged, err := mon.Flagged()
+	flagged, err := sd.Flagged()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,22 +88,11 @@ func TestMonitorGenuineStream(t *testing.T) {
 
 func TestMonitorAttackStream(t *testing.T) {
 	det := trainDetector(t)
-	mon, err := det.NewMonitor(MonitorConfig{WindowSamples: 150, WarmupSamples: 0, MinChallenges: 1})
-	if err != nil {
-		t.Fatal(err)
+	sd, results := runCall(t, det, tumblingConfig(0, 1), callStream(t, 9101, PeerReenact, 45, nil))
+	if len(results) != 3 {
+		t.Fatalf("%d windows over a 45 s call, want 3", len(results))
 	}
-	for _, seed := range []int64{9101, 9102, 9103} {
-		s, err := Simulate(SimOptions{Seed: seed, Peer: PeerReenact})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range s.T {
-			if _, err := mon.Push(s.T[i], s.R[i]); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	flagged, err := mon.Flagged()
+	flagged, err := sd.Flagged()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,68 +103,61 @@ func TestMonitorAttackStream(t *testing.T) {
 
 func TestMonitorWarmupDiscards(t *testing.T) {
 	det := trainDetector(t)
-	mon, err := det.NewMonitor(MonitorConfig{WindowSamples: 150, WarmupSamples: 50, MinChallenges: 0})
-	if err != nil {
-		t.Fatal(err)
+	samples := callStream(t, 9200, PeerGenuine, 30, nil)
+	// 300 samples less 50 of warmup leave room for one window, not two.
+	_, got := runCall(t, det, tumblingConfig(50, 0), samples)
+	if len(got) != 1 {
+		t.Fatalf("%d windows after a 50-sample warmup, want 1", len(got))
 	}
-	s, err := Simulate(SimOptions{Seed: 9200, Peer: PeerGenuine})
-	if err != nil {
-		t.Fatal(err)
-	}
-	completed := 0
-	for i := range s.T {
-		res, err := mon.Push(s.T[i], s.R[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res != nil {
-			completed++
-		}
-	}
-	// 150 samples with 50 warmup leaves 100 buffered: no window yet.
-	if completed != 0 {
-		t.Errorf("window completed despite warmup, want buffering")
+	// The warmup samples never reach the pipeline: the window is the one
+	// a detector without warmup judges over the remaining samples.
+	_, want := runCall(t, det, tumblingConfig(0, 0), samples[50:])
+	if len(want) != 1 || !sameWindowResult(got[0], want[0]) {
+		t.Errorf("warmed-up window %+v, want %+v", got[0], want)
 	}
 }
 
 func TestMonitorInconclusiveOnFlatChallenge(t *testing.T) {
 	det := trainDetector(t)
-	mon, err := det.NewMonitor(MonitorConfig{WindowSamples: 150, WarmupSamples: 0, MinChallenges: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
 	// A flat transmitted signal means the verifier never challenged.
-	var last *WindowResult
-	for i := 0; i < 150; i++ {
-		res, err := mon.Push(100, 90)
-		if err != nil {
-			t.Fatal(err)
+	sd, results := runCall(t, det, tumblingConfig(0, 1), flatCall(300))
+	if len(results) != 2 {
+		t.Fatalf("%d windows, want 2", len(results))
+	}
+	for i, r := range results {
+		if !r.Inconclusive {
+			t.Fatalf("flat-challenge window %d judged conclusive: %+v", i, r)
 		}
-		if res != nil {
-			last = res
+		if !strings.Contains(r.Reason, "challenges") {
+			t.Errorf("reason %q does not mention challenges", r.Reason)
 		}
 	}
-	if last == nil {
-		t.Fatal("window did not complete")
-	}
-	if !last.Inconclusive {
-		t.Fatalf("flat-challenge window judged conclusive: %+v", last)
-	}
-	if !strings.Contains(last.Reason, "challenges") {
-		t.Errorf("reason %q does not mention challenges", last.Reason)
-	}
-	if _, err := mon.Flagged(); err == nil {
+	if _, err := sd.Flagged(); err == nil {
 		t.Error("Flagged() succeeded with zero conclusive windows")
 	}
 }
 
 func TestMonitorResultsCopied(t *testing.T) {
 	det := trainDetector(t)
-	mon, err := det.NewMonitor(DefaultMonitorConfig())
+	sd, err := det.NewStreamDetector(tumblingConfig(0, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := mon.Results(); len(got) != 0 {
-		t.Errorf("fresh monitor has %d results", len(got))
+	if got := sd.Results(); len(got) != 0 {
+		t.Errorf("fresh detector has %d results", len(got))
+	}
+	sd, _ = runCall(t, det, tumblingConfig(0, 1), callStream(t, 9300, PeerGenuine, 30, nil))
+	got := sd.Results()
+	if len(got) == 0 {
+		t.Fatal("no windows judged")
+	}
+	got[0].Reason = "overwritten"
+	rep, err := sd.Report()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep.Results[0].Code = ReasonStale
+	if again := sd.Results(); again[0].Reason == "overwritten" || again[0].Code == ReasonStale {
+		t.Errorf("Results and Report share the detector's history: %+v", again[0])
 	}
 }

@@ -13,6 +13,102 @@ import (
 	"repro/trace"
 )
 
+// ReasonCode classifies why a window was inconclusive. The string form is
+// stable and embedded in WindowResult.Reason, so alerting rules can match
+// on either.
+type ReasonCode int
+
+// Inconclusive reasons.
+const (
+	// ReasonNone marks a conclusive window.
+	ReasonNone ReasonCode = iota
+	// ReasonExtraction: the feature pipeline failed on the window.
+	ReasonExtraction
+	// ReasonNoChallenge: the verifier issued no significant luminance
+	// change, so there is nothing to correlate.
+	ReasonNoChallenge
+	// ReasonGapRatio: too many samples were missing or invalid.
+	ReasonGapRatio
+	// ReasonLandmarkLoss: landmark localization failed on too many
+	// received frames.
+	ReasonLandmarkLoss
+	// ReasonStale: too many received samples were stale repeats (frozen
+	// stream, duplicated delivery).
+	ReasonStale
+	// ReasonShortWindow: the stream ended before the window filled.
+	// Reserved: no engine produces it (StreamDetector judges only full
+	// windows). The number stays taken because parked states store Code
+	// as an integer.
+	ReasonShortWindow
+	// ReasonOverload: the detection stage was skipped or abandoned under
+	// overload — its circuit breaker was open, or it ran past its stage
+	// budget. Reserved like ReasonShortWindow: budgeted batch stages
+	// report ErrStageTimeout or admission.ErrBreakerOpen instead.
+	ReasonOverload
+)
+
+// String returns the stable reason label.
+func (c ReasonCode) String() string {
+	switch c {
+	case ReasonNone:
+		return "none"
+	case ReasonExtraction:
+		return "extraction failed"
+	case ReasonNoChallenge:
+		return "no challenge"
+	case ReasonGapRatio:
+		return "gap ratio"
+	case ReasonLandmarkLoss:
+		return "landmark loss"
+	case ReasonStale:
+		return "stale samples"
+	case ReasonShortWindow:
+		return "short window"
+	case ReasonOverload:
+		return "overload"
+	default:
+		return fmt.Sprintf("ReasonCode(%d)", int(c))
+	}
+}
+
+// StreamSample is one tick of the monitored stream with its capture
+// health, as a lossy real-world path delivers it.
+type StreamSample struct {
+	// Transmitted and Received are the two luminance values.
+	Transmitted, Received float64
+	// LandmarkLost marks a tick whose received frame had no usable
+	// landmark fix; Received is ignored and the last good value held.
+	LandmarkLost bool
+	// Stale marks a received value that is a repeat of an earlier frame
+	// (frozen stream, duplicate delivery). It is used as-is but counted
+	// against window quality.
+	Stale bool
+}
+
+// WindowResult is the outcome of one completed monitoring window.
+type WindowResult struct {
+	// Verdict is valid when Inconclusive is false.
+	Verdict Verdict
+	// Inconclusive marks windows that could not be judged; they carry no
+	// vote.
+	Inconclusive bool
+	// Code classifies an inconclusive window; ReasonNone when conclusive.
+	Code ReasonCode
+	// Reason explains an inconclusive window. It always contains
+	// Code.String() plus the specifics.
+	Reason string
+	// Challenges is the number of transmitted significant changes seen.
+	Challenges int
+	// Quality scores the window's capture health in [0, 1]: 1 is a clean
+	// gapless window; gaps, landmark losses and stale samples lower it.
+	// Conclusive windows carry it too, as a confidence signal.
+	Quality float64
+	// Gaps counts samples that were missing, non-finite, or landmark-lost.
+	Gaps int
+	// Stale counts stale received samples.
+	Stale int
+}
+
 // StreamQuality bounds how much capture degradation DetectSamples
 // tolerates before declaring a window inconclusive. The zero value means
 // the defaults (1 s bridgeable gaps, 20% invalid samples).
@@ -148,14 +244,17 @@ type StreamConfig struct {
 	// 10 Hz). Every hop judges the trailing window of this length.
 	WindowSamples int
 	// HopSamples is how far consecutive windows advance. 1 judges every
-	// sample; WindowSamples reproduces the Monitor's tumbling windows.
+	// sample; WindowSamples gives tumbling windows, one verdict per
+	// disjoint window as in the paper's evaluation.
 	HopSamples int
 	// WarmupSamples are discarded before the stream enters the pipeline.
 	WarmupSamples int
-	// MinChallenges gates conclusiveness exactly as in MonitorConfig.
+	// MinChallenges is the minimum number of significant transmitted
+	// changes for a window to be conclusive: with no challenge issued
+	// there is nothing to correlate.
 	MinChallenges int
 	// MaxGapRatio / MaxStaleRatio bound per-window capture degradation;
-	// zero means 0.2 / 0.5 (the Monitor defaults).
+	// zero means 0.2 / 0.5.
 	MaxGapRatio   float64
 	MaxStaleRatio float64
 	// DTWBandRadius constrains the z4 warp: zero means
@@ -237,8 +336,8 @@ const (
 // Its verdicts are bit-identical to DetectStreamBatch, the retained batch
 // reference that runs the whole stream through the batch chain and
 // judges the same hop grid (stream_test.go and the golden stream trace
-// enforce the equivalence). Like Monitor, it is not safe for concurrent
-// use; feed it from the session loop.
+// enforce the equivalence). It is not safe for concurrent use; feed it
+// from the session loop.
 type StreamDetector struct {
 	det     *Detector
 	cfg     StreamConfig
@@ -304,7 +403,7 @@ func (sd *StreamDetector) Latency() int { return sd.latency }
 
 // Push adds one annotated tick. When the tick completes a hop it returns
 // that window's result; otherwise nil. Non-finite values degrade to held
-// samples exactly as in Monitor.PushSample.
+// samples (the last good value), and the tick counts as a gap.
 func (sd *StreamDetector) Push(s StreamSample) *WindowResult {
 	if sd.finished {
 		panic("guard: StreamDetector.Push after Finish")
@@ -442,7 +541,7 @@ func (sd *StreamDetector) Windows() (conclusive, inconclusive int) {
 }
 
 // Flagged reports the running majority vote over conclusive hops,
-// erroring until at least one exists — the Monitor contract.
+// erroring until at least one exists.
 func (sd *StreamDetector) Flagged() (bool, error) {
 	if sd.conclusive == 0 {
 		return false, fmt.Errorf("guard: no conclusive windows yet")
@@ -459,6 +558,23 @@ func (sd *StreamDetector) Results() []WindowResult {
 	out := make([]WindowResult, len(sd.results))
 	copy(out, sd.results)
 	return out
+}
+
+// Report tallies the hops judged so far: a copy of the results, the
+// outcome counts and, once a conclusive hop exists, the majority vote.
+func (sd *StreamDetector) Report() (StreamReport, error) {
+	rep := StreamReport{
+		Results:       sd.Results(),
+		Conclusive:    sd.conclusive,
+		Inconclusive:  sd.inconclusive,
+		AttackerVotes: sd.attackVotes,
+	}
+	if sd.conclusive == 0 {
+		return rep, nil
+	}
+	var err error
+	rep.Flagged, err = sd.Flagged()
+	return rep, err
 }
 
 // judgeStreamWindow classifies one hop window of the continuous smoothed
@@ -657,18 +773,10 @@ func (d *Detector) DetectStreamSamples(samples []StreamSample, cfg StreamConfig)
 		sd.Push(s)
 	}
 	sd.Finish()
-	rep := StreamReport{
-		Results:       sd.results,
-		Conclusive:    sd.conclusive,
-		Inconclusive:  sd.inconclusive,
-		AttackerVotes: sd.attackVotes,
-	}
-	if sd.conclusive > 0 {
-		rep.Flagged, err = sd.Flagged()
-		if err != nil {
-			obs.Default.RecordSpan("guard.detect_stream", start, "error: "+err.Error())
-			return rep, err
-		}
+	rep, err := sd.Report()
+	if err != nil {
+		obs.Default.RecordSpan("guard.detect_stream", start, "error: "+err.Error())
+		return rep, err
 	}
 	obs.Default.RecordSpan("guard.detect_stream", start,
 		fmt.Sprintf("hops=%d flagged=%v", len(rep.Results), rep.Flagged))

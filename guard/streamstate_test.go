@@ -9,8 +9,9 @@ import (
 // resumeThrough runs samples through sd, parking and resuming it at every
 // index in cuts: at each cut the detector is exported, serialized through
 // JSON (the session-store wire format), dropped, and a fresh detector is
-// resumed from the decoded state before the stream continues.
-func resumeThrough(t *testing.T, det *Detector, cfg StreamConfig, samples []StreamSample, cuts []int) []WindowResult {
+// resumed from the decoded state before the stream continues. It returns
+// the hop results and the final detector.
+func resumeThrough(t *testing.T, det *Detector, cfg StreamConfig, samples []StreamSample, cuts []int) ([]WindowResult, *StreamDetector) {
 	t.Helper()
 	sd, err := det.NewStreamDetector(cfg)
 	if err != nil {
@@ -38,7 +39,7 @@ func resumeThrough(t *testing.T, det *Detector, cfg StreamConfig, samples []Stre
 			out = append(out, *r)
 		}
 	}
-	return append(out, sd.Finish()...)
+	return append(out, sd.Finish()...), sd
 }
 
 // TestStreamStateResumeBitIdentical is the crash-safety contract of the
@@ -58,6 +59,7 @@ func TestStreamStateResumeBitIdentical(t *testing.T) {
 	configs := map[string]StreamConfig{
 		"default":   DefaultStreamConfig(),
 		"odd-sizes": {WindowSamples: 97, HopSamples: 13, WarmupSamples: 11, MinChallenges: 1, MaxGapRatio: 0.3, MaxStaleRatio: 0.4},
+		"tumbling":  {WindowSamples: 150, HopSamples: 150, WarmupSamples: 30, MinChallenges: 1},
 	}
 	cutSets := map[string][]int{
 		"in-warmup":   {0, 5},
@@ -81,8 +83,9 @@ func TestStreamStateResumeBitIdentical(t *testing.T) {
 			if len(want) == 0 {
 				t.Fatalf("%s/%s: reference run judged no hops", sname, cname)
 			}
+			wantRep, wantErr := sd.Report()
 			for kname, cuts := range cutSets {
-				got := resumeThrough(t, det, cfg, samples, cuts)
+				got, resumed := resumeThrough(t, det, cfg, samples, cuts)
 				if len(got) != len(want) {
 					t.Fatalf("%s/%s/%s: %d hops after resume, %d uninterrupted", sname, cname, kname, len(got), len(want))
 				}
@@ -92,73 +95,16 @@ func TestStreamStateResumeBitIdentical(t *testing.T) {
 							sname, cname, kname, i, got[i], want[i])
 					}
 				}
+				// The running vote survives the cuts too.
+				rep, err := resumed.Report()
+				vote := [4]any{rep.Conclusive, rep.AttackerVotes, rep.Flagged, err == nil}
+				wantVote := [4]any{wantRep.Conclusive, wantRep.AttackerVotes, wantRep.Flagged, wantErr == nil}
+				if vote != wantVote {
+					t.Fatalf("%s/%s/%s: vote (conclusive, attacker, flagged, ok) resumed %v, uninterrupted %v",
+						sname, cname, kname, vote, wantVote)
+				}
 			}
 		}
-	}
-}
-
-// TestMonitorStateResume covers both monitor modes: hop mode (the
-// embedded stream pipeline) and the legacy tumbling window, each parked
-// mid-call and required to finish exactly like an uninterrupted monitor.
-func TestMonitorStateResume(t *testing.T) {
-	det := trainDetector(t)
-	samples := degradeStream(cleanStream(t, 49000, PeerGenuine, 2), 13)
-
-	for name, cfg := range map[string]MonitorConfig{
-		"hop":      {WindowSamples: 150, WarmupSamples: 30, MinChallenges: 1, HopSamples: 5},
-		"tumbling": DefaultMonitorConfig(),
-	} {
-		t.Run(name, func(t *testing.T) {
-			ref, err := det.NewMonitor(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, s := range samples {
-				if _, err := ref.PushSample(s); err != nil {
-					t.Fatal(err)
-				}
-			}
-			ref.Flush()
-			want := ref.Results()
-
-			m, err := det.NewMonitor(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, s := range samples {
-				if i == 77 || i == 310 {
-					blob, err := json.Marshal(m.Export())
-					if err != nil {
-						t.Fatal(err)
-					}
-					var st MonitorState
-					if err := json.Unmarshal(blob, &st); err != nil {
-						t.Fatal(err)
-					}
-					if m, err = det.ResumeMonitor(st); err != nil {
-						t.Fatalf("resume at sample %d: %v", i, err)
-					}
-				}
-				if _, err := m.PushSample(s); err != nil {
-					t.Fatal(err)
-				}
-			}
-			m.Flush()
-			got := m.Results()
-			if len(got) != len(want) {
-				t.Fatalf("%d results after resume, %d uninterrupted", len(got), len(want))
-			}
-			for i := range got {
-				if !sameWindowResult(got[i], want[i]) {
-					t.Fatalf("window %d diverged:\nresumed       %+v\nuninterrupted %+v", i, got[i], want[i])
-				}
-			}
-			f1, err1 := ref.Flagged()
-			f2, err2 := m.Flagged()
-			if f1 != f2 || (err1 == nil) != (err2 == nil) {
-				t.Fatalf("vote diverged: uninterrupted (%v, %v) vs resumed (%v, %v)", f1, err1, f2, err2)
-			}
-		})
 	}
 }
 
@@ -172,7 +118,8 @@ func TestStreamStateRejectsDamage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range cleanStream(t, 50000, PeerGenuine, 1) {
+	// Three sessions put 50 judged hops behind the parked cursor.
+	for _, s := range cleanStream(t, 50000, PeerGenuine, 3) {
 		sd.Push(s)
 	}
 	good := sd.Export()
@@ -189,6 +136,8 @@ func TestStreamStateRejectsDamage(t *testing.T) {
 		"over-warm":       func(st *StreamState) { st.Warm = st.Config.WarmupSamples + 1 },
 		"emitted-gt-raw":  func(st *StreamState) { st.Emitted = st.Raw + 1 },
 		"off-grid-cursor": func(st *StreamState) { st.NextEnd++ },
+		"cursor-behind":   func(st *StreamState) { st.NextEnd -= 2 * st.Config.HopSamples },
+		"cursor-ahead":    func(st *StreamState) { st.NextEnd += 2 * st.Config.HopSamples },
 		"vote-mismatch":   func(st *StreamState) { st.Conclusive++ },
 		"excess-votes":    func(st *StreamState) { st.AttackVotes = st.Conclusive + 1 },
 		"chain-mismatch":  func(st *StreamState) { st.TxChain.FIR.Buf = st.TxChain.FIR.Buf[:1] },
@@ -209,21 +158,5 @@ func TestStreamStateRejectsDamage(t *testing.T) {
 				t.Errorf("%s: want *VersionError, got %T: %v", name, err, err)
 			}
 		}
-	}
-
-	// Monitor-level damage.
-	m, err := det.NewMonitor(DefaultMonitorConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ms := m.Export()
-	ms.Stream = &good
-	if _, err := det.ResumeMonitor(ms); err == nil {
-		t.Error("tumbling-mode state with a stream payload accepted")
-	}
-	ms = m.Export()
-	ms.Rx = append(ms.Rx, 1)
-	if _, err := det.ResumeMonitor(ms); err == nil {
-		t.Error("unbalanced window buffers accepted")
 	}
 }

@@ -10,9 +10,9 @@
 //
 // The layer deliberately fails closed at the intake and open at the
 // verdict: a shed request is an explicit, typed refusal the caller can
-// retry elsewhere, and a breaker-guarded stage degrades to
-// Inconclusive-with-ReasonOverload abstentions (guard package) instead
-// of blocking the session loop behind a stuck worker.
+// retry elsewhere, and a breaker-guarded stage fails fast with a typed
+// error (guard.Guardrails: ErrBreakerOpen, ErrStageTimeout) instead of
+// blocking the session loop behind a stuck worker.
 //
 // Everything here is stdlib-only and instrumented against
 // internal/obs; OBSERVABILITY.md catalogs the shed/breaker/queue/drain

@@ -203,9 +203,9 @@ func (in *Injector) PerturbSeries(clean []float64, fs float64) []preprocess.Samp
 }
 
 // PerturbWindow degrades an aligned transmitted/received window into the
-// per-frame stream a guard.Monitor consumes: landmark-failure spans, NaN
-// bursts in the received signal, and stale frames. Panics if the slices
-// differ in length (caller bug, not a stream fault).
+// per-frame stream a guard.StreamDetector consumes: landmark-failure
+// spans, NaN bursts in the received signal, and stale frames. Panics if
+// the slices differ in length (caller bug, not a stream fault).
 func (in *Injector) PerturbWindow(tx, rx []float64) []guard.StreamSample {
 	if len(tx) != len(rx) {
 		panic(fmt.Sprintf("chaos: window length mismatch %d vs %d", len(tx), len(rx)))

@@ -137,54 +137,28 @@ func TestOverloadSoak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	monCfg := guard.MonitorConfig{
-		WindowSamples: 150, WarmupSamples: 0, MinChallenges: 1,
-		StageBudget: time.Nanosecond, Breaker: br,
-	}
-	mon, err := det.NewMonitor(monCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	sim, err := guard.Simulate(guard.SimOptions{Seed: 950, Peer: guard.PeerGenuine})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var winRes *guard.WindowResult
-	for i := range sim.T {
-		res, err := mon.Push(sim.T[i], sim.R[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res != nil {
-			winRes = res
-			break
-		}
+	windows := []guard.Session{{Transmitted: sim.T, Received: sim.R}}
+	batch, err := det.Batch(1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if winRes == nil || winRes.Code != guard.ReasonOverload {
-		t.Fatalf("starved stage window = %+v, want ReasonOverload", winRes)
+	starved := batch.DetectContext(context.Background(), windows, guard.Guardrails{Budget: time.Nanosecond, Breaker: br})
+	if !errors.Is(starved[0].Err, guard.ErrStageTimeout) {
+		t.Fatalf("starved stage err = %v, want ErrStageTimeout", starved[0].Err)
 	}
 	if br.State() != admission.BreakerOpen {
 		t.Fatalf("breaker = %v, want open", br.State())
 	}
-	monCfg.StageBudget = time.Minute // the stage "recovers"
-	mon2, err := det.NewMonitor(monCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	time.Sleep(20 * time.Millisecond) // cooldown passes
-	winRes = nil
-	for i := range sim.T {
-		res, err := mon2.Push(sim.T[i], sim.R[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res != nil {
-			winRes = res
-			break
-		}
-	}
-	if winRes == nil || winRes.Inconclusive {
-		t.Fatalf("post-recovery window = %+v, want conclusive", winRes)
+	// The stage "recovers": a generous budget lets the half-open probe
+	// succeed.
+	probe := batch.DetectContext(context.Background(), windows, guard.Guardrails{Budget: time.Minute, Breaker: br})
+	if probe[0].Err != nil {
+		t.Fatalf("post-recovery window err = %v, want a verdict", probe[0].Err)
 	}
 	if br.State() != admission.BreakerClosed {
 		t.Fatalf("breaker = %v after probe success, want closed", br.State())

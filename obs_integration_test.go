@@ -70,7 +70,10 @@ func TestObservabilityBatchDetect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	windows := append(genuine, fake...)
+	var windows []guard.Session
+	for _, s := range append(genuine, fake...) {
+		windows = append(windows, guard.Session{Transmitted: s.T, Received: s.R})
+	}
 	n := int64(len(windows))
 
 	batch, err := det.Batch(4)
@@ -80,7 +83,7 @@ func TestObservabilityBatchDetect(t *testing.T) {
 	var results []guard.BatchVerdict
 	start := time.Now()
 	delta := measure(func() {
-		results = batch.DetectTraces(windows)
+		results = batch.Detect(windows)
 	})
 	elapsed := time.Since(start)
 	for _, r := range results {
@@ -143,10 +146,11 @@ func TestObservabilityBatchDetect(t *testing.T) {
 	}
 }
 
-// TestObservabilityMonitorWindows drives the streaming Monitor and checks
-// the window-level accounting: every judged window lands in exactly one of
-// conclusive/inconclusive, conclusive windows count a verdict, and every
-// judged window observes the quality histogram.
+// TestObservabilityMonitorWindows drives a continuous call through the
+// tumbling StreamDetector and checks the window-level accounting: every
+// judged window lands in exactly one of conclusive/inconclusive,
+// conclusive windows count a verdict, every judged window observes the
+// quality histogram, and the call records its span.
 func TestObservabilityMonitorWindows(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
@@ -159,32 +163,23 @@ func TestObservabilityMonitorWindows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mon, err := det.NewMonitor(guard.DefaultMonitorConfig())
+	call, err := guard.Simulate(guard.SimOptions{Seed: 950, Peer: guard.PeerReenact, DurationSec: 45})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var windows int64
+	cfg := guard.DefaultStreamConfig()
+	cfg.HopSamples = cfg.WindowSamples
+	var rep guard.StreamReport
+	_, spansBefore := obs.Default.Spans()
 	delta := measure(func() {
-		// One session is shorter than a monitoring window plus warmup, so
-		// stream several back to back.
-		for s := int64(0); s < 4; s++ {
-			session, err := guard.Simulate(guard.SimOptions{Seed: 950 + s, Peer: guard.PeerReenact})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range session.T {
-				res, err := mon.Push(session.T[i], session.R[i])
-				if err != nil {
-					t.Fatal(err)
-				}
-				if res != nil {
-					windows++
-				}
-			}
-		}
+		rep, err = det.DetectTraceStream(call, cfg)
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	windows := int64(len(rep.Results))
 	if windows == 0 {
-		t.Fatal("monitor judged no windows; session too short for the config")
+		t.Fatal("judged no windows; call too short for the config")
 	}
 	conclusive := delta.counter("guard_windows_conclusive_total")
 	inconclusive := delta.counter("guard_windows_inconclusive_total")
@@ -197,11 +192,13 @@ func TestObservabilityMonitorWindows(t *testing.T) {
 	if got := delta.histCount("guard_window_quality"); got != windows {
 		t.Errorf("guard_window_quality delta = %d, want %d", got, windows)
 	}
+	if got := delta.counter("guard_stream_hops_total"); got != windows {
+		t.Errorf("guard_stream_hops_total delta = %d, want %d", got, windows)
+	}
 
-	// Monitor windows also record spans.
-	_, totalAfter := obs.Default.Spans()
-	if totalAfter == 0 {
-		t.Error("no spans recorded by the monitor path")
+	// The judged call also records a span.
+	if _, spansAfter := obs.Default.Spans(); spansAfter <= spansBefore {
+		t.Error("no span recorded by the stream path")
 	}
 }
 
